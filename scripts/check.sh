@@ -17,21 +17,29 @@
 #                   must show no inversions and no unguarded accesses
 #   6. chaos      — single-reader-loss run must still emit fixes
 #   7. ops        — live /metrics scrape must pass the exposition validator
-#   8. bench      — scripts/bench.py --smoke writes BENCH_pipeline.json
-#   9. obs bench  — scripts/bench.py --obs --smoke writes BENCH_obs.json
+#   8. bench      — scripts/bench.py --smoke writes
+#                   build/smoke/BENCH_pipeline.json
+#   9. obs bench  — scripts/bench.py --obs --smoke writes
+#                   build/smoke/BENCH_obs.json
 #  10. soak       — scripts/soak.py --smoke (bounded RSS/cardinality/queues)
 #  11. serve      — scripts/loadgen.py --smoke drives a shard fleet over
 #                   real TCP (kill/restore drill, zero-leakage sweep)
-#                   and writes BENCH_serve.json
+#                   and writes build/smoke/BENCH_serve.json
 #  12. chaos fleet — scripts/chaos_fleet.py --smoke injects all six
 #                   fault families (partition, slow-loris, corruption,
 #                   checkpoint rot, hang, overload) and writes
-#                   BENCH_chaos.json
+#                   build/smoke/BENCH_chaos.json
 #  13. pytest     — the tier-1 suite
+#
+# Smoke records go to the git-ignored build/smoke/ so a check never
+# overwrites the committed full-run BENCH_*.json trajectories.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+SMOKE_OUT=build/smoke
+mkdir -p "$SMOKE_OUT"
 
 echo "== reprolint (domain rules RL001-RL006, concurrency rules RL007-RL010) =="
 python -m tools.reprolint src/ --format json --statistics > REPROLINT_report.json \
@@ -117,24 +125,24 @@ print(f"ops smoke ok: {len(fixes)} logged fixes, "
       f"{len(families)} exposed families")
 OPS_SMOKE
 
-echo "== bench smoke (perf harness writes BENCH_pipeline.json) =="
+echo "== bench smoke (perf harness writes $SMOKE_OUT/BENCH_pipeline.json) =="
 # Validates the perf-trajectory harness end to end; the smoke workload
 # is sized for gating, not for recording speedups (run bench.py without
-# --smoke for those).  When a committed record already exists it is
-# diffed report-only: smoke workloads on a loaded runner jitter past
-# the 15% gate routinely, so regressions print here but do not fail
-# the check (a CI perf job can drop the `|| true` to make it a gate).
+# --smoke for those).  When a committed record exists it is diffed
+# report-only: smoke workloads on a loaded runner jitter past the 15%
+# gate routinely, so regressions print here but do not fail the check
+# (a CI perf job can drop the `|| echo` to make it a gate).
 if [ -f BENCH_pipeline.json ]; then
-    cp BENCH_pipeline.json "$SMOKE_DIR/bench_baseline.json"
-    PYTHONPATH=src python scripts/bench.py --smoke --output BENCH_pipeline.json \
-        --compare "$SMOKE_DIR/bench_baseline.json" \
+    PYTHONPATH=src python scripts/bench.py --smoke \
+        --output "$SMOKE_OUT/BENCH_pipeline.json" --compare BENCH_pipeline.json \
         || echo "bench compare: regression reported (report-only in check.sh)"
 else
-    PYTHONPATH=src python scripts/bench.py --smoke --output BENCH_pipeline.json
+    PYTHONPATH=src python scripts/bench.py --smoke \
+        --output "$SMOKE_OUT/BENCH_pipeline.json"
 fi
 
-echo "== obs bench smoke (overhead harness writes BENCH_obs.json) =="
-PYTHONPATH=src python scripts/bench.py --obs --smoke --output BENCH_obs.json
+echo "== obs bench smoke (overhead harness writes $SMOKE_OUT/BENCH_obs.json) =="
+PYTHONPATH=src python scripts/bench.py --obs --smoke --output "$SMOKE_OUT/BENCH_obs.json"
 
 echo "== chaos soak smoke (bounded RSS, flat cardinality, drained queues) =="
 timeout 600 env PYTHONPATH=src python scripts/soak.py --smoke \
@@ -144,16 +152,16 @@ echo "== serve smoke (TCP fleet: fixes emitted, drill passes, clean shutdown) ==
 # The load generator self-hosts a supervisor + ingest server on
 # ephemeral ports, publishes over real TCP, runs the kill/restore
 # drill and the cross-shard leakage sweep, and exits non-zero unless
-# every gate in BENCH_serve.json passed.
+# every gate of its smoke record passed.
 timeout 600 env PYTHONPATH=src python scripts/loadgen.py --smoke \
-    --output BENCH_serve.json
+    --output "$SMOKE_OUT/BENCH_serve.json"
 
 echo "== chaos fleet smoke (six fault families, recovery + zero-loss gates) =="
 # Every family must recover within its deadline with zero read loss,
 # chained lineage and zero cross-deployment leakage; the script exits
 # non-zero if any gate fails.
 timeout 600 env PYTHONPATH=src python scripts/chaos_fleet.py --smoke \
-    --output BENCH_chaos.json
+    --output "$SMOKE_OUT/BENCH_chaos.json"
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q

@@ -53,8 +53,8 @@ from repro.errors import CheckpointError, IngestProtocolError, ShardError
 from repro.serve import protocol
 from repro.serve.registry import DeploymentSpec
 from repro.stream.checkpoint import (
+    INTEGRITY_KEY,
     checkpoint_history_dir,
-    checkpoint_id,
     durable_write_json,
     seal_state,
 )
@@ -211,13 +211,14 @@ def write_checkpoint_file(
     """
     target = Path(path)
     rotate_checkpoint_history(target, history_keep)
+    sealed = seal_state(state)
     try:
-        durable_write_json(target, seal_state(state))
+        durable_write_json(target, sealed)
     except CheckpointError as exc:
         raise ShardError(
             f"cannot write shard checkpoint {str(target)!r}: {exc}"
         ) from exc
-    return checkpoint_id(state)
+    return str(sealed[INTEGRITY_KEY])
 
 
 class DeploymentShard:

@@ -6,27 +6,42 @@ drift tracker has adapted the baseline, and the Kalman tracker carries
 the target's velocity.  Rebuilding those from scratch after a restart
 changes every subsequent fix.  This module serializes *all* mutable
 stream state to a single JSON document so a restarted process continues
-**bit-identically** — the crash-resume equivalence is pinned by a
-tier-1 test, which is only possible because Python's ``repr``-based
-JSON float round-trip is exact.
+**bit-identically** — the crash-resume equivalence is pinned by tier-1
+tests.
 
-Format (``schema`` 1, ``kind`` ``dwatch-checkpoint``):
+Format (``schema`` 2, ``kind`` ``dwatch-checkpoint``):
 
 * ``fingerprint`` — reader names, window length and covariance decay of
   the deployment; restoring onto a mismatched runner raises
   :class:`~repro.errors.CheckpointError` rather than silently
   corrupting fixes.
 * ``queue`` — still-undrained reads plus the lifetime counters.
-* ``assembler`` — pending window cells, watermark, emitted cursor and
-  the late/torn/duplicate counters.
-* ``bank`` — per-(reader, tag) weighted sums, weights and update
-  counts (complex matrices as ``[re, im]`` pairs).
-* ``tracker`` — Kalman state vector, covariance and last update time.
-* ``baseline`` — the (possibly drift-adapted) baseline spectrum sets.
+* ``assembler`` — pending window cells (sweep/antenna slots plus their
+  packed samples), watermark, emitted cursor and the
+  late/torn/duplicate/unswept counters.
+* ``bank`` — per-(reader, tag) weighted sums (packed), weights and
+  update counts.
+* ``tracker`` — Kalman state vector and covariance (packed) and the
+  last update time.
+* ``baseline`` — the (possibly drift-adapted) baseline spectrum sets:
+  ``grids``, each distinct angle grid once, and ``sets``, whose spectra
+  name their grid by index and carry packed values.
 * ``drift`` / ``health`` / counters — the remaining run bookkeeping.
 
-Complex numbers are stored as two-element ``[re, im]`` lists; integer
-dictionary keys as decimal strings (JSON objects only key on strings).
+Numeric arrays are *packed*: ``{"dtype": "<f8" | "<c16", "shape":
+[...], "data": <base64 of the little-endian bytes>}``, bit-exact by
+construction (NaN payloads and signed zeros included) and an order of
+magnitude cheaper to serialize than lists of float ``repr`` strings.
+
+Ordered collections — the bank's pairs, the baseline's readers and
+tags, pending windows and their cells — are JSON *lists* in the
+runner's own iteration order, never key-sorted objects: the baseline's
+tag order is the order evidence is multiplied in, so a restore that
+re-sorted it by EPC would change fixes in their last bits.
+
+Schema-1 documents (complex numbers as ``[re, im]`` lists, arrays as
+nested lists, the baseline as reader/EPC-keyed objects) still restore;
+new documents are always schema 2.
 
 Durability and corruption discipline (added for the serving fleet's
 chaos drills):
@@ -49,19 +64,31 @@ chaos drills):
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
 from repro import obs
 from repro.core.baseline import SpectrumSet
-from repro.dsp.spectrum import AngularSpectrum
-from repro.errors import CheckpointError
-from repro.utils.arrays import ComplexArray, FloatArray
+from repro.dsp.spectrum import AngularSpectrum, default_angle_grid
+from repro.errors import CheckpointError, EstimationError
+from repro.utils.arrays import ArrayLike, ComplexArray
 from repro.stream.covariance import EwCovariance
 from repro.stream.events import TagRead
 from repro.stream.queue import QueueStats
@@ -70,8 +97,14 @@ from repro.stream.window import _PendingWindow
 if TYPE_CHECKING:
     from repro.stream.runner import StreamRunner
 
-#: Format marker so future revisions can migrate old checkpoints.
-CHECKPOINT_SCHEMA = 1
+#: Format marker of the documents this build writes.
+CHECKPOINT_SCHEMA = 2
+
+#: Every schema this build restores.
+READABLE_SCHEMAS = (1, CHECKPOINT_SCHEMA)
+
+#: Element types a packed array may carry (always little-endian).
+PACKED_DTYPES = {"<f8": np.dtype("<f8"), "<c16": np.dtype("<c16")}
 
 #: The ``kind`` tag distinguishing checkpoints from other JSON files.
 CHECKPOINT_KIND = "dwatch-checkpoint"
@@ -93,13 +126,13 @@ def checkpoint_state(runner: "StreamRunner") -> Dict[str, Any]:
     tracker_state: Optional[Dict[str, Any]] = None
     if runner.tracker is not None and runner.tracker.initialized:
         tracker_state = {
-            "state": [float(v) for v in runner.tracker._state],
-            "covariance": _real_matrix(runner.tracker._covariance),
+            "state": pack_array(runner.tracker._state, "<f8"),
+            "covariance": pack_array(runner.tracker._covariance, "<f8"),
             "last_time": runner.tracker._last_time,
         }
-    baseline: Optional[List[Dict[str, Any]]] = None
+    baseline: Optional[Dict[str, Any]] = None
     if runner.dwatch.baseline is not None:
-        baseline = [_spectrum_set(s) for s in runner.dwatch.baseline]
+        baseline = _baseline_state(runner.dwatch.baseline)
     return {
         "schema": CHECKPOINT_SCHEMA,
         "kind": CHECKPOINT_KIND,
@@ -159,10 +192,10 @@ def restore_state(runner: "StreamRunner", state: Mapping[str, Any]) -> None:
     """Adopt a checkpoint into a freshly constructed, matching runner."""
     if state.get("kind") != CHECKPOINT_KIND:
         raise CheckpointError(f"not a {CHECKPOINT_KIND!r} document")
-    if state.get("schema") != CHECKPOINT_SCHEMA:
+    if state.get("schema") not in READABLE_SCHEMAS:
         raise CheckpointError(
             f"unsupported checkpoint schema {state.get('schema')!r} "
-            f"(this build reads schema {CHECKPOINT_SCHEMA})"
+            f"(this build reads schemas {list(READABLE_SCHEMAS)})"
         )
     expected = _fingerprint(runner)
     found = state.get("fingerprint")
@@ -188,7 +221,7 @@ def restore_state(runner: "StreamRunner", state: Mapping[str, Any]) -> None:
         runner.lineage = [
             str(entry) for entry in state.get("lineage", [])
         ] + [checkpoint_id(state)]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, EstimationError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 
@@ -317,27 +350,8 @@ def _fingerprint(runner: "StreamRunner") -> Dict[str, Any]:
     }
 
 
-def _complex(value: complex) -> List[float]:
-    return [value.real, value.imag]
-
-
 def _as_complex(pair: Any) -> complex:
     return complex(float(pair[0]), float(pair[1]))
-
-
-def _complex_matrix(matrix: ComplexArray) -> List[List[List[float]]]:
-    return [[_complex(complex(cell)) for cell in row] for row in matrix]
-
-
-def _as_complex_matrix(rows: Any) -> ComplexArray:
-    return np.array(
-        [[_as_complex(cell) for cell in row] for row in rows],
-        dtype=np.complex128,
-    )
-
-
-def _real_matrix(matrix: FloatArray) -> List[List[float]]:
-    return [[float(cell) for cell in row] for row in matrix]
 
 
 def _read(read: TagRead) -> Dict[str, Any]:
@@ -359,20 +373,133 @@ def _as_read(record: Mapping[str, Any]) -> TagRead:
     )
 
 
-def _spectrum_set(spectra: SpectrumSet) -> Dict[str, Any]:
+# -- packed arrays --------------------------------------------------------
+
+
+def pack_array(array: ArrayLike, dtype: str) -> Dict[str, Any]:
+    """A numeric array as a JSON-ready packed record (bit-exact).
+
+    ``dtype`` is one of :data:`PACKED_DTYPES`; the bytes are always
+    little-endian so a document reads back the same on any host.
+    """
+    data = np.ascontiguousarray(array, dtype=PACKED_DTYPES[dtype])
     return {
-        reader_name: {
-            epc: {
-                "angles": [float(a) for a in spectrum.angles],
-                "values": [float(v) for v in spectrum.values],
-            }
-            for epc, spectrum in per_tag.items()
-        }
-        for reader_name, per_tag in spectra.spectra.items()
+        "dtype": dtype,
+        "shape": list(data.shape),
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
     }
 
 
-def _as_spectrum_set(record: Mapping[str, Any]) -> SpectrumSet:
+def unpack_array(record: Mapping[str, Any], dtype: str) -> np.ndarray:
+    """Decode a :func:`pack_array` record of ``dtype`` into a fresh array.
+
+    The result is writable and in native byte order.  Raises
+    :class:`~repro.errors.CheckpointError` when the record carries
+    another dtype, its data is not base64, or its byte count does not
+    match its shape.
+    """
+    if record.get("dtype") != dtype:
+        raise CheckpointError(
+            f"malformed checkpoint array: dtype {record.get('dtype')!r} "
+            f"where {dtype} belongs"
+        )
+    element = PACKED_DTYPES[dtype]
+    shape = tuple(int(n) for n in record["shape"])
+    try:
+        raw = base64.b64decode(record["data"], validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint array: data is not base64 ({exc})"
+        ) from exc
+    expected = math.prod(shape) * element.itemsize
+    if min(shape, default=0) < 0 or len(raw) != expected:
+        raise CheckpointError(
+            f"malformed checkpoint array: {len(raw)} bytes for shape "
+            f"{list(shape)} of {dtype} ({expected} expected)"
+        )
+    return np.frombuffer(raw, dtype=element).reshape(shape).astype(
+        element.newbyteorder("=")
+    )
+
+
+def _float_array(record: Any) -> np.ndarray:
+    """A packed real array, or a schema-1 nested list of floats."""
+    if isinstance(record, Mapping):
+        return unpack_array(record, "<f8")
+    return np.asarray(record, dtype=float)
+
+
+def _complex_array(record: Any) -> ComplexArray:
+    """A packed complex array, or a schema-1 matrix of ``[re, im]`` pairs."""
+    if isinstance(record, Mapping):
+        return unpack_array(record, "<c16")
+    return np.array(
+        [[_as_complex(cell) for cell in row] for row in record],
+        dtype=np.complex128,
+    )
+
+
+def _baseline_state(baseline: Sequence[SpectrumSet]) -> Dict[str, Any]:
+    """Baseline sets in reader/tag order, each distinct angle grid once."""
+    grids: Dict[bytes, int] = {}
+    packed_grids: List[Dict[str, Any]] = []
+    sets: List[List[Dict[str, Any]]] = []
+    for spectra in baseline:
+        readers: List[Dict[str, Any]] = []
+        for reader_name, per_tag in spectra.spectra.items():
+            tags: List[Dict[str, Any]] = []
+            for epc, spectrum in per_tag.items():
+                key = np.ascontiguousarray(spectrum.angles, dtype="<f8").tobytes()
+                grid = grids.get(key)
+                if grid is None:
+                    grid = grids[key] = len(packed_grids)
+                    packed_grids.append(pack_array(spectrum.angles, "<f8"))
+                tags.append(
+                    {
+                        "epc": epc,
+                        "grid": grid,
+                        "values": pack_array(spectrum.values, "<f8"),
+                    }
+                )
+            readers.append({"reader": reader_name, "tags": tags})
+        sets.append(readers)
+    return {"grids": packed_grids, "sets": sets}
+
+
+def _shared_grid(record: Mapping[str, Any]) -> np.ndarray:
+    """One read-only angle axis for every restored spectrum on a grid.
+
+    A grid bit-equal to the default scan grid *is* the memoized default
+    object, as it is for freshly computed spectra, so identity-keyed
+    fast paths downstream hit after a restore too.
+    """
+    angles = unpack_array(record, "<f8")
+    default = default_angle_grid()
+    if angles.shape == default.shape and angles.tobytes() == default.tobytes():
+        return default
+    angles.setflags(write=False)
+    return angles
+
+
+def _as_spectrum_sets(record: Any) -> List[SpectrumSet]:
+    if not isinstance(record, Mapping):
+        return [_as_spectrum_set_v1(entry) for entry in record]
+    grids = [_shared_grid(grid) for grid in record["grids"]]
+    result: List[SpectrumSet] = []
+    for readers in record["sets"]:
+        spectra = SpectrumSet()
+        for entry in readers:
+            spectra.spectra[str(entry["reader"])] = {
+                str(tag["epc"]): AngularSpectrum(
+                    grids[int(tag["grid"])], _float_array(tag["values"])
+                )
+                for tag in entry["tags"]
+            }
+        result.append(spectra)
+    return result
+
+
+def _as_spectrum_set_v1(record: Mapping[str, Any]) -> SpectrumSet:
     result = SpectrumSet()
     for reader_name, per_tag in record.items():
         result.spectra[reader_name] = {
@@ -388,22 +515,25 @@ def _as_spectrum_set(record: Mapping[str, Any]) -> SpectrumSet:
 def _assembler_state(runner: "StreamRunner") -> Dict[str, Any]:
     assembler = runner.assembler
     pending: List[Dict[str, Any]] = []
-    for index in sorted(assembler._pending):
-        window = assembler._pending[index]
+    for index, window in assembler._pending.items():
         cells: List[Dict[str, Any]] = []
-        for (reader_name, epc) in sorted(window.cells):
-            per_sweep = window.cells[(reader_name, epc)]
+        for (reader_name, epc), per_sweep in window.cells.items():
             cells.append(
                 {
                     "reader": reader_name,
                     "epc": epc,
-                    "sweeps": {
-                        str(sweep): {
-                            str(antenna): _complex(sample)
-                            for antenna, sample in column.items()
-                        }
+                    "sweeps": [
+                        [sweep, list(column)]
                         for sweep, column in per_sweep.items()
-                    },
+                    ],
+                    "samples": pack_array(
+                        [
+                            sample
+                            for column in per_sweep.values()
+                            for sample in column.values()
+                        ],
+                        "<c16",
+                    ),
                 }
             )
         pending.append({"index": index, "reads": window.reads, "cells": cells})
@@ -414,24 +544,43 @@ def _assembler_state(runner: "StreamRunner") -> Dict[str, Any]:
         "late_reads": assembler.late_reads,
         "torn_sweeps": assembler.torn_sweeps,
         "duplicate_reads": assembler.duplicate_reads,
+        "unswept_reads": assembler.unswept_reads,
+    }
+
+
+def _as_cell(cell: Mapping[str, Any]) -> Dict[int, Dict[int, complex]]:
+    """One pending cell's sweep -> antenna -> sample map."""
+    if "samples" not in cell:
+        return {
+            int(sweep): {
+                int(antenna): _as_complex(sample)
+                for antenna, sample in column.items()
+            }
+            for sweep, column in cell["sweeps"].items()
+        }
+    sweeps = cell["sweeps"]
+    samples = unpack_array(cell["samples"], "<c16").tolist()
+    if len(samples) != sum(len(antennas) for _, antennas in sweeps):
+        raise ValueError("pending cell sample count does not match its slots")
+    flat = iter(samples)
+    return {
+        int(sweep): {int(antenna): next(flat) for antenna in antennas}
+        for sweep, antennas in sweeps
     }
 
 
 def _bank_state(runner: "StreamRunner") -> List[Dict[str, Any]]:
-    pairs: List[Dict[str, Any]] = []
-    for (reader_name, epc) in sorted(runner.bank._pairs):
-        estimator = runner.bank._pairs[(reader_name, epc)]
-        pairs.append(
-            {
-                "reader": reader_name,
-                "epc": epc,
-                "num_antennas": estimator.num_antennas,
-                "weighted": _complex_matrix(estimator._weighted),
-                "weight": estimator._weight,
-                "updates": estimator.updates,
-            }
-        )
-    return pairs
+    return [
+        {
+            "reader": reader_name,
+            "epc": epc,
+            "num_antennas": estimator.num_antennas,
+            "weighted": pack_array(estimator._weighted, "<c16"),
+            "weight": estimator._weight,
+            "updates": estimator.updates,
+        }
+        for (reader_name, epc), estimator in runner.bank._pairs.items()
+    ]
 
 
 # -- restore helpers ------------------------------------------------------
@@ -459,14 +608,7 @@ def _restore_assembler(
     for entry in record["pending"]:
         window = _PendingWindow(reads=int(entry["reads"]))
         for cell in entry["cells"]:
-            per_sweep: Dict[int, Dict[int, complex]] = {
-                int(sweep): {
-                    int(antenna): _as_complex(sample)
-                    for antenna, sample in column.items()
-                }
-                for sweep, column in cell["sweeps"].items()
-            }
-            window.cells[(str(cell["reader"]), str(cell["epc"]))] = per_sweep
+            window.cells[(str(cell["reader"]), str(cell["epc"]))] = _as_cell(cell)
         assembler._pending[int(entry["index"])] = window
     raw_max = record["max_time"]
     assembler._max_time = None if raw_max is None else float(raw_max)
@@ -479,6 +621,8 @@ def _restore_assembler(
     assembler.late_reads = int(record["late_reads"])
     assembler.torn_sweeps = int(record["torn_sweeps"])
     assembler.duplicate_reads = int(record["duplicate_reads"])
+    # Schema 1 predates the counter.
+    assembler.unswept_reads = int(record.get("unswept_reads", 0))
 
 
 def _restore_bank(runner: "StreamRunner", record: Any) -> None:
@@ -488,7 +632,7 @@ def _restore_bank(runner: "StreamRunner", record: Any) -> None:
             num_antennas=int(entry["num_antennas"]),
             decay=runner.bank.decay,
         )
-        estimator._weighted = _as_complex_matrix(entry["weighted"])
+        estimator._weighted = _complex_array(entry["weighted"])
         estimator._weight = float(entry["weight"])
         estimator.updates = int(entry["updates"])
         runner.bank._pairs[(str(entry["reader"]), str(entry["epc"]))] = estimator
@@ -502,8 +646,8 @@ def _restore_tracker(
     runner.tracker.reset()
     if record is None:
         return
-    runner.tracker._state = np.asarray(record["state"], dtype=float)
-    runner.tracker._covariance = np.asarray(record["covariance"], dtype=float)
+    runner.tracker._state = _float_array(record["state"])
+    runner.tracker._covariance = _float_array(record["covariance"])
     runner.tracker._last_time = float(record["last_time"])
 
 
@@ -511,4 +655,4 @@ def _restore_baseline(runner: "StreamRunner", record: Any) -> None:
     if record is None:
         runner.dwatch.baseline = None
         return
-    runner.dwatch.baseline = [_as_spectrum_set(entry) for entry in record]
+    runner.dwatch.baseline = _as_spectrum_sets(record)

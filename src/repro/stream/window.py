@@ -10,7 +10,9 @@ chain consumes:
   :class:`~repro.rfid.hub.TdmSchedule` (the final slot is
   end-inclusive, so a read stamped exactly on the sweep boundary still
   lands in the sweep).  A sweep with all ``M`` antennas present becomes
-  one snapshot column; torn sweeps are counted and discarded.
+  one snapshot column; torn sweeps are counted and discarded, and a
+  window left with no complete sweep is dropped with its reads counted
+  as ``unswept_reads``.
 * **Windowing** — sweeps are grouped into fixed-length event-time
   windows, count-based (``sweeps_per_window`` sweeps, the paper's 10
   packets per fix) or time-based (an explicit ``window_duration_s``).
@@ -184,6 +186,9 @@ class WindowAssembler:
         self.late_reads = 0
         self.torn_sweeps = 0
         self.duplicate_reads = 0
+        #: Reads of windows closed without one complete sweep: such a
+        #: window yields no snapshot matrix, so it is discarded.
+        self.unswept_reads = 0
 
     @classmethod
     def for_readers(
@@ -296,7 +301,7 @@ class WindowAssembler:
         self._min_pending_end = None
         if emitted:
             self._emitted_through = max(w.index for w in emitted)
-        return [w for w in emitted if w.sweeps > 0]
+        return [w for w in emitted if self._keep(w)]
 
     def _emit_ready(self) -> List[SnapshotWindow]:
         max_time = self._max_time
@@ -317,7 +322,7 @@ class WindowAssembler:
             window = self._close(index)
             del self._pending[index]
             self._emitted_through = max(self._emitted_through, index)
-            if window.sweeps > 0:
+            if self._keep(window):
                 emitted.append(window)
         if ready:
             self._min_pending_end = min(
@@ -325,6 +330,14 @@ class WindowAssembler:
                 default=None,
             )
         return emitted
+
+    def _keep(self, window: SnapshotWindow) -> bool:
+        """Whether a closed window has a sweep; counts the reads if not."""
+        if window.sweeps > 0:
+            return True
+        self.unswept_reads += window.reads
+        obs.count("stream.window.unswept_reads", window.reads)
+        return False
 
     def _close(self, index: int) -> SnapshotWindow:
         pending = self._pending[index]

@@ -155,6 +155,23 @@ class TestLateness:
         assert windows[0].torn_sweeps == 1
         assert assembler.torn_sweeps == 1
 
+    def test_flushed_window_without_a_sweep_counts_its_reads(self):
+        assembler = make_assembler(sweeps_per_window=2)
+        for read in sweep_reads(0)[:2]:  # two reads, no complete sweep
+            assembler.push(read)
+        assert assembler.flush() == []
+        assert assembler.unswept_reads == 2
+
+    def test_closed_window_without_a_sweep_counts_its_reads(self):
+        assembler = make_assembler(sweeps_per_window=1, lateness_s=0.0)
+        emitted = []
+        for read in sweep_reads(0)[:3] + sweep_reads(1) + sweep_reads(2):
+            emitted.extend(assembler.push(read))
+        # Window 0 closes with no complete sweep: dropped, reads counted.
+        assert [w.index for w in emitted] == [1]
+        assert assembler.unswept_reads == 3
+        assert assembler.torn_sweeps == 1
+
 
 class TestMeasurementRoundtrip:
     def test_synthetic_reads_reassemble_the_exact_capture(self):
